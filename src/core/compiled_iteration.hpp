@@ -36,10 +36,10 @@
 // tasks always observe fresh stop state.
 //
 // EOS scratch (T5): each EOS node owns a persistent eos_scratch recycled
-// across replays.  Every eval_eos_chunk writes each scratch array before
-// reading it, so recycling is bitwise-equivalent to the fresh path's
-// task-local vectors — and saves 14 vector allocations per EOS task per
-// iteration.
+// across replays.  Every eval_eos_chunk writes each scratch array it reads
+// before reading it, so recycling is bitwise-equivalent to the fresh
+// path's task-local vectors — and saves 14 vector allocations per EOS task
+// per iteration.
 
 #pragma once
 

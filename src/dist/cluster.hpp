@@ -45,7 +45,10 @@ using plane_buffer = std::vector<real_t>;
 /// each packed message here before committing it to the channel; a dropped
 /// or corrupt delivery is then healed by re-delivering the cached copy
 /// (dist/retry_policy.hpp) instead of failing the iteration.  `packed_seq`
-/// advances when a message is cached, `sent_seq` when it is delivered —
+/// advances when a message is cached, `sent_seq` when a sender claims its
+/// delivery, in the same critical section that decides to send, so each
+/// packed message is delivered at most once (the resend after a CRC failure
+/// excepted: it replaces the corrupt copy the receiver consumed).
 /// packed_seq > sent_seq marks an in-flight message the driver's poll loop
 /// may need to resend.
 struct retransmit_slot {

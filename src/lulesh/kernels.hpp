@@ -122,7 +122,9 @@ void update_volumes(domain& d, index_t lo, index_t hi);
 /// Region-local work arrays for the EOS pipeline.  The parallel-for driver
 /// allocates one per region (the reference allocates globally per call); the
 /// task driver allocates one per task, chunk-sized — the paper's task-local
-/// temporaries trick.
+/// temporaries trick.  The loop-granular phases use every array;
+/// eval_eos_chunk writes only e_new, p_new, q_new, bvc and pbvc, which
+/// store and sound speed read after the last repetition.
 struct eos_scratch {
     std::vector<real_t> e_old, delvc, p_old, q_old, qq_old, ql_old;
     std::vector<real_t> compression, comp_half_step, work;
@@ -167,11 +169,18 @@ void eos_store(domain& d, const index_t* list, index_t lo, index_t hi,
 void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
                      const eos_scratch& s);
 
-/// Fused task body: the complete EOS pipeline (gather → energy → store →
-/// sound speed), repeated `rep` times, on the slice [lo, hi) of a region's
-/// element list, with task-local scratch (paper tricks T3+T5).  `s` must be
-/// resized to at least hi-lo by the caller (tasks reuse a scratch sized to
-/// the partition).
+/// Fused task body: the complete EOS pipeline on the slice [lo, hi) of a
+/// region's element list, with task-local scratch (paper tricks T3+T5).
+/// Each of the `rep` repetitions is one pass over the slice that gathers
+/// its inputs from the domain again and recomputes every phase; store and
+/// sound speed follow the last repetition.  The pass keeps eight elements
+/// in flight (four SSE2 registers per value; a scalar tail and non-x86
+/// targets run the same expressions one element at a time), because one
+/// element's chain of six divisions and three square roots is latency-
+/// bound.  Per element it performs the loop-granular phases' operations in
+/// their order, so its results are bitwise those of the phases.  `s` must
+/// be resized to at least hi-lo by the caller (tasks reuse a scratch sized
+/// to the partition).
 void eval_eos_chunk(domain& d, const index_t* list, index_t lo, index_t hi,
                     int rep, eos_scratch& s);
 

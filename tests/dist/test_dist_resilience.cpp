@@ -170,6 +170,46 @@ TEST(DistRetry, DroppedHaloMessageIsResentFromTheCache) {
     EXPECT_GE(amt::resilience().halo_resends.load(), 1u);
 }
 
+TEST(DistRetry, SenderDelayedPastTheBackoffDeliversOnce) {
+    fault_guard guard;
+    const options o = opts(8);
+    const int iters = 20;
+    domain global(o);
+    {
+        lulesh::serial_driver drv;
+        lulesh::run_simulation(global, drv, iters);
+    }
+
+    // The first probe of the site is send_halo's, between caching the
+    // cycle-5 corner message of boundary 1 and claiming its delivery: it
+    // sleeps far past the 1 ms backoff.  The poll loop meanwhile resends
+    // the cached copy, and that resend's own probe sleeps too, so both
+    // senders wake with the message unclaimed unless the resend claimed it
+    // before sleeping.  A second copy would be consumed as cycle 6's halo.
+    amt::fault::plan p;
+    p.kind = amt::fault::action::delay;
+    p.site = "halo_drop:corner_up:1";
+    p.epoch = 5;
+    p.max_injections = 2;
+    p.delay = std::chrono::milliseconds(30);
+    amt::fault::arm(p);
+
+    cluster c(o, 4);
+    amt::runtime rt(4);
+    dist_driver drv(rt, {64, 64}, dist_driver::exchange_mode::futurized,
+                    std::chrono::milliseconds(0), retry_policy{});
+    const auto result = lulesh::dist::run_simulation(c, drv, iters);
+    const auto injected = amt::fault::snapshot().injections;
+    amt::fault::disarm();
+
+    EXPECT_EQ(result.run_status, lulesh::status::ok);
+    EXPECT_EQ(result.cycles, iters);
+    EXPECT_EQ(injected, 2u) << "the resend did not meet the delayed sender";
+    EXPECT_GE(amt::resilience().halo_resends.load(), 1u);
+    EXPECT_EQ(cluster_vs_global(c, global), 0.0)
+        << "a halo message was delivered twice";
+}
+
 TEST(DistRetry, PersistentCorruptionExhaustsRetriesAndKeepsExitCode) {
     fault_guard guard;
     // Unbounded corruption of one stream: the retry budget (3 attempts) is

@@ -111,6 +111,24 @@ TEST(DriverEquivalenceRegions, ManyRegionsStillBitwiseEqual) {
     EXPECT_EQ(lulesh::max_field_difference(*reference, *pfor), 0.0);
 }
 
+TEST(DriverEquivalenceRegions, EosHeavyShapeStillBitwiseEqual) {
+    // The eos-heavy benchmark's region shape: 21 regions, balance 2, cost
+    // 20, so the top region repeats EOS 210 times.  Serial and taskgraph
+    // both run the fused EOS pass; parallel_for runs the loop-granular
+    // phases, so a defect the fused pass would share between serial and
+    // taskgraph still shows against it.
+    options o = small_opts(10, 21);
+    o.balance = 2;
+    o.cost = 20;
+    auto reference = evolve(o, "serial", 15);
+    auto task = evolve(o, "taskgraph", 15, 4, {64, 64});
+    auto pfor = evolve(o, "parallel_for", 15, 4);
+    EXPECT_EQ(lulesh::max_field_difference(*reference, *task), 0.0);
+    EXPECT_EQ(lulesh::max_field_difference(*reference, *pfor), 0.0);
+    EXPECT_EQ(reference->cycle, pfor->cycle);
+    EXPECT_EQ(reference->deltatime, pfor->deltatime);
+}
+
 TEST(DriverEquivalenceRegions, SingleRegion) {
     options o = small_opts(6, 1);
     auto reference = evolve(o, "serial", 20);

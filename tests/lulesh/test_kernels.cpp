@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "lulesh/domain.hpp"
 #include "lulesh/driver.hpp"
@@ -302,6 +307,176 @@ TEST(Eos, EvalChunkRepeatsAreIdempotentOnStore) {
         ASSERT_EQ(a.p[i], b.p[i]);
         ASSERT_EQ(a.q[i], b.q[i]);
         ASSERT_EQ(a.ss[i], b.ss[i]);
+    }
+}
+
+/// The loop-granular phases composed over list[lo, hi), `rep` times, then
+/// store and sound speed: the EOS as the parallel_for driver runs it.
+void eos_by_phases(domain& d, const index_t* list, index_t lo, index_t hi,
+                   int rep) {
+    const index_t n = hi - lo;
+    const index_t* l = list + lo;
+    k::eos_scratch s;
+    s.resize(static_cast<std::size_t>(n));
+    for (int r = 0; r < rep; ++r) {
+        k::eos_gather_e(d, l, 0, n, s);
+        k::eos_gather_delv(d, l, 0, n, s);
+        k::eos_gather_p(d, l, 0, n, s);
+        k::eos_gather_q(d, l, 0, n, s);
+        k::eos_gather_qq_ql(d, l, 0, n, s);
+        k::eos_compression(d, l, 0, n, s);
+        k::eos_clamp_vmin(d, l, 0, n, s);
+        k::eos_clamp_vmax(d, l, 0, n, s);
+        k::eos_zero_work(0, n, s);
+        k::energy_step1(d, 0, n, s);
+        k::pressure_bvc(0, n, s.comp_half_step.data(), s.bvc.data(),
+                        s.pbvc.data());
+        k::pressure_p(d, l, 0, n, s.p_half_step.data(), s.bvc.data(),
+                      s.e_new.data());
+        k::energy_q_half(d, 0, n, s);
+        k::energy_step2(d, 0, n, s);
+        k::pressure_bvc(0, n, s.compression.data(), s.bvc.data(),
+                        s.pbvc.data());
+        k::pressure_p(d, l, 0, n, s.p_new.data(), s.bvc.data(),
+                      s.e_new.data());
+        k::energy_step3(d, l, 0, n, s);
+        k::pressure_bvc(0, n, s.compression.data(), s.bvc.data(),
+                        s.pbvc.data());
+        k::pressure_p(d, l, 0, n, s.p_new.data(), s.bvc.data(),
+                      s.e_new.data());
+        k::energy_q_final(d, l, 0, n, s);
+    }
+    k::eos_store(d, l, 0, n, s);
+    k::eos_sound_speed(d, l, 0, n, s);
+}
+
+/// Fills the EOS inputs of every element with values picked from sets that
+/// sit on and around each threshold of the pipeline: the vnewc clamps, both
+/// signs of delv (and -0.0), the cuts, emin, pmin and the sound-speed floor.
+void fill_adversarial(domain& d, std::uint32_t seed) {
+    const real_t cut = 1.0e-7;  // e_cut = p_cut = q_cut
+    const real_t vmin = 1.0e-9;
+    const real_t vmax = 1.0e9;
+    const std::vector<real_t> vnewc = {vmin, 0.5 * vmin, 1.0000001 * vmin,
+                                       0.6,  1.0,        1.7,
+                                       vmax, 2.0 * vmax, 0.9999999 * vmax};
+    const std::vector<real_t> delv = {-0.1, 0.1, 0.0, -0.0, -0.013, 0.013, 0.25};
+    // e: zero, the e_cut edges, p_cut edges through bvc = 2/3 at vnewc = 1,
+    // below emin, tiny (sound speed below its floor), ordinary.
+    const std::vector<real_t> e = {0.0,          cut,         -cut,
+                                   0.999 * cut,  -0.999 * cut, 1.5 * 0.999 * cut,
+                                   1.5 * 1.001 * cut, -2.0e15,     -1.0e15,
+                                   1.0e-40,      -1.0,         3.7,
+                                   1.0e5};
+    const std::vector<real_t> p = {0.0, -1.0, 1.0e-8, 2.5, 1.0e3, -1.0e-12};
+    const std::vector<real_t> q = {0.0, 0.5, 1.0e-9, 7.0};
+    const std::vector<real_t> qq = {0.0, 0.999 * cut, cut, 1.001 * cut, 0.3};
+    const std::vector<real_t> ql = {0.0, 0.0, 1.0e-30, 0.8, 2.0};
+    std::mt19937 rng(seed);
+    auto pick = [&rng](const std::vector<real_t>& v) {
+        return v[rng() % v.size()];
+    };
+    for (std::size_t i = 0; i < d.e.size(); ++i) {
+        d.vnewc[i] = pick(vnewc);
+        d.delv[i] = pick(delv);
+        d.e[i] = pick(e);
+        d.p[i] = pick(p);
+        d.q[i] = pick(q);
+        d.qq[i] = pick(qq);
+        d.ql[i] = pick(ql);
+    }
+}
+
+bool same_bits(const std::vector<real_t>& a, const std::vector<real_t>& b,
+               std::size_t& where) {
+    for (where = 0; where < a.size(); ++where) {
+        if (std::bit_cast<std::uint64_t>(a[where]) !=
+            std::bit_cast<std::uint64_t>(b[where])) {
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST(Eos, FusedPassIsBitwiseEqualToPhasesOnAdversarialInputs) {
+    // Every chunk length 0..17 (a multiple of eight, or not, and a scalar
+    // tail of every length), at an offset lo > 0 into a permuted region
+    // list, with each vnewc clamp enabled or disabled and pmin at zero or
+    // below the picked pressures.
+    domain base(small_opts(4, 1));
+    std::vector<index_t> list(base.e.size());
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        list[i] = static_cast<index_t>((i * 37 + 11) % list.size());
+    }
+    int cases = 0;
+    for (const real_t eosvmin : {1.0e-9, 0.0}) {
+        for (const real_t eosvmax : {1.0e9, 0.0}) {
+            for (const real_t pmin : {0.0, -0.5}) {
+                for (const int rep : {1, 2, 7}) {
+                    for (index_t len = 0; len <= 17; ++len) {
+                        const index_t lo = 3 + len % 5;
+                        fill_adversarial(base,
+                                         static_cast<std::uint32_t>(cases));
+                        base.eosvmin = eosvmin;
+                        base.eosvmax = eosvmax;
+                        base.pmin = pmin;
+                        domain fused = base;
+                        domain phased = base;
+                        k::eos_scratch s;
+                        s.resize(static_cast<std::size_t>(len));
+                        k::eval_eos_chunk(fused, list.data(), lo, lo + len,
+                                          rep, s);
+                        eos_by_phases(phased, list.data(), lo, lo + len, rep);
+                        std::size_t at = 0;
+                        const auto where = [&] {
+                            return ::testing::Message()
+                                   << "eosvmin " << eosvmin << " eosvmax "
+                                   << eosvmax << " pmin " << pmin << " rep "
+                                   << rep << " len " << len << " elem " << at;
+                        };
+                        ASSERT_TRUE(same_bits(fused.e, phased.e, at)) << where();
+                        ASSERT_TRUE(same_bits(fused.p, phased.p, at)) << where();
+                        ASSERT_TRUE(same_bits(fused.q, phased.q, at)) << where();
+                        ASSERT_TRUE(same_bits(fused.ss, phased.ss, at))
+                            << where();
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 2 * 2 * 2 * 3 * 18);
+}
+
+TEST(Eos, AdversarialInputsReachEveryBranch) {
+    // Guards the test above against inputs that never leave the common
+    // path: over one full chunk, every clamp, cut and floor fires for some
+    // element and not for others.
+    domain d(small_opts(4, 1));
+    fill_adversarial(d, 0);
+    const auto n = static_cast<index_t>(d.e.size());
+    std::vector<index_t> list(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i) list[static_cast<std::size_t>(i)] = i;
+    const domain before = d;
+    k::eos_scratch s;
+    s.resize(static_cast<std::size_t>(n));
+    k::eval_eos_chunk(d, list.data(), 0, n, 1, s);
+    int zero_e = 0, emin_e = 0, zero_p = 0, zero_q = 0, floor_ss = 0;
+    int above_vmax = 0, below_vmin = 0, expanding = 0;
+    for (std::size_t i = 0; i < d.e.size(); ++i) {
+        zero_e += d.e[i] == 0.0;
+        emin_e += d.e[i] == d.emin;
+        zero_p += d.p[i] == 0.0;
+        zero_q += d.q[i] == 0.0;
+        floor_ss += d.ss[i] == real_t(.3333333e-18);
+        above_vmax += before.vnewc[i] >= d.eosvmax;
+        below_vmin += before.vnewc[i] <= d.eosvmin;
+        expanding += before.delv[i] > 0.0;
+    }
+    for (const int count : {zero_e, emin_e, zero_p, zero_q, floor_ss,
+                            above_vmax, below_vmin, expanding}) {
+        EXPECT_GT(count, 0);
+        EXPECT_LT(count, n);
     }
 }
 
