@@ -169,10 +169,18 @@ int main(int argc, char** argv) {
         // with min-of-reps, so only baselines long enough to measure the
         // bar are gated — shorter runs still print their numbers, and the
         // recoveries gate below always applies.
-        if (overhead_pct >= 2.0 && base > 0.25) {
+        if (base <= 0.25) {
+            std::cout << "size " << size << ": 2% bar NOT CHECKED: armed "
+                      << "overhead " << overhead_pct << "% over a " << base
+                      << " s baseline, and the bar is checked only above "
+                         "0.25 s\n";
+        } else if (overhead_pct >= 2.0) {
             std::cerr << "dist_recovery: armed overhead " << overhead_pct
                       << "% exceeds the 2% bar\n";
             ok = false;
+        } else {
+            std::cout << "size " << size << ": armed overhead within the 2% "
+                      << "bar\n";
         }
         if (recoveries < 1) {
             std::cerr << "dist_recovery: slab_kill injection produced no "

@@ -163,7 +163,8 @@ int main() {
     // only baselines long enough to measure the bar are gated — shorter
     // runs still print their numbers, and the sample-count gate below
     // always applies.
-    if (!(armed_pct < 3.0) && disarmed_s > 0.25) {
+    const bool armed_checked = disarmed_s > 0.25;
+    if (!(armed_pct < 3.0) && armed_checked) {
         std::cerr << "FAIL: armed metrics overhead " << armed_pct
                   << "% exceeds the 3% budget\n";
         ok = false;
@@ -173,6 +174,14 @@ int main() {
         ok = false;
     }
     if (!ok) return 1;
-    std::cout << "PASS: disarmed within 1%, armed within 3%\n";
+    if (armed_checked) {
+        std::cout << "PASS: disarmed within 1%, armed within 3%\n";
+    } else {
+        std::cout << "PASS: disarmed within 1%; armed 3% bound NOT CHECKED: "
+                  << "measured " << std::setprecision(2) << armed_pct
+                  << "% over a " << std::setprecision(3) << disarmed_s
+                  << " s baseline, and the bound is checked only above "
+                     "0.25 s\n";
+    }
     return 0;
 }

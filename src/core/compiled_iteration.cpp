@@ -242,7 +242,7 @@ void compiled_iteration::compile(domain& d) {
                 region_monoq_accesses(lp, lo, hi), [dp, lp, lo, hi] {
                     wave_body::region_monoq(*dp, lp, lo, hi);
                 });
-            k::eos_scratch* scr = &eos_scratch_.emplace_back();
+            k::eos_chunk_scratch* scr = &eos_scratch_.emplace_back();
             const auto eos = add_task(
                 wave_site::region_eos, 3, part,
                 region_eos_accesses(lp, lo, hi), [dp, lp, lo, hi, rep, scr] {

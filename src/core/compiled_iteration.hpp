@@ -35,11 +35,11 @@
 // cancellation is the graph's stop flag, reset by every arm(), so re-armed
 // tasks always observe fresh stop state.
 //
-// EOS scratch (T5): each EOS node owns a persistent eos_scratch recycled
-// across replays.  Every eval_eos_chunk writes each scratch array it reads
-// before reading it, so recycling is bitwise-equivalent to the fresh
-// path's task-local vectors — and saves 14 vector allocations per EOS task
-// per iteration.
+// EOS scratch (T5): each EOS node owns a persistent eos_chunk_scratch (the
+// five arrays of the fused pass) recycled across replays.  Every
+// eval_eos_chunk writes each scratch array it reads before reading it, so
+// recycling is bitwise-equivalent to the fresh path's task-local vectors —
+// and saves five vector allocations per EOS task per iteration.
 
 #pragma once
 
@@ -173,7 +173,7 @@ private:
     std::array<amt::clock::time_point, num_barriers> stamps_{};
     real_t dt_ = 0;  ///< read by node/elem bodies through a stable pointer
     std::vector<kernels::dt_constraints> partials_;
-    std::deque<kernels::eos_scratch> eos_scratch_;  ///< one per EOS node
+    std::deque<kernels::eos_chunk_scratch> eos_scratch_;  ///< one per EOS node
     std::deque<iteration_sentinel::task_ctx> ctxs_;  ///< compiled once
     std::vector<node_info> compute_nodes_;
     std::size_t task_count_ = 0;

@@ -58,7 +58,7 @@ void region_monoq(domain& d, const index_t* list, index_t lo, index_t hi) {
 }
 
 void region_eos(domain& d, const index_t* list, index_t lo, index_t hi,
-                int rep, kernels::eos_scratch& scratch) {
+                int rep, kernels::eos_chunk_scratch& scratch) {
     scratch.resize(static_cast<std::size_t>(hi - lo));
     k::eval_eos_chunk(d, list, lo, hi, rep, scratch);
 }
@@ -296,7 +296,7 @@ wave spawn_region_wave(amt::runtime& rt, domain& d, index_t p_elems,
                         flags, wave_site::region_eos, part32(part), eos_ctx,
                         [dp, lp, lo, hi, rep] {
                             // Task-local EOS scratch, sized to the chunk (T5).
-                            k::eos_scratch scratch;
+                            k::eos_chunk_scratch scratch;
                             wave_body::region_eos(*dp, lp, lo, hi, rep,
                                                   scratch);
                         })));

@@ -62,7 +62,7 @@ void elem_fused(domain& d, index_t lo, index_t hi, real_t dt,
                 amt::atomic<bool>& vol_ok, amt::atomic<bool>& q_ok);
 void region_monoq(domain& d, const index_t* list, index_t lo, index_t hi);
 void region_eos(domain& d, const index_t* list, index_t lo, index_t hi,
-                int rep, kernels::eos_scratch& scratch);
+                int rep, kernels::eos_chunk_scratch& scratch);
 void volume_update(domain& d, index_t lo, index_t hi);
 void constraints(domain& d, const index_t* list, index_t lo, index_t hi,
                  kernels::dt_constraints& out);

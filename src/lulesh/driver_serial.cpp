@@ -77,7 +77,7 @@ void serial_driver::advance(domain& d) {
                                "relative volume out of EOS range");
     }
     {
-        k::eos_scratch scratch;
+        k::eos_chunk_scratch scratch;
         for (index_t r = 0; r < d.numReg(); ++r) {
             const auto& list = d.regElemList(r);
             const auto count = static_cast<index_t>(list.size());

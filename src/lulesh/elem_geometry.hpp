@@ -7,43 +7,62 @@
 // including evaluation order, so that results are bitwise comparable to a
 // faithful port.  All functions are small, pure, and inline; they operate on
 // the eight corner values of a single element.
+//
+// Each helper is a template over the lane type T of lulesh/lanes.hpp:
+// T = real_t is one element; T = lanes::pack<R> evaluates one element per
+// SIMD lane with the same operations in the same order, so every lane's
+// result is bitwise the T = real_t result for that element.  Branches are
+// written as lanes::select, square roots as lanes::sqrt_of.
 
 #pragma once
 
-#include <cmath>
+#include <vector>
 
+#include "lulesh/lanes.hpp"
 #include "lulesh/types.hpp"
 
 namespace lulesh::geom {
 
+using lanes::gt;
+using lanes::select;
+using lanes::sqrt_of;
+
+/// Corner values of the elements in T's lanes, read through the nodelist:
+/// lane j is the element whose eight node indices start at nl + 8 * j.
+template <class T>
+inline void gather_corners(const std::vector<real_t>& f, const index_t* nl,
+                           T out[8]) {
+    for (int c = 0; c < 8; ++c) out[c] = lanes::gather<T>(f, nl + c, 8);
+}
+
 /// Triple product |a · (b × c)| building block of the hex volume formula.
-inline real_t triple_product(real_t x1, real_t y1, real_t z1, real_t x2,
-                             real_t y2, real_t z2, real_t x3, real_t y3,
-                             real_t z3) {
+template <class T>
+inline T triple_product(T x1, T y1, T z1, T x2, T y2, T z2, T x3, T y3,
+                        T z3) {
     return x1 * (y2 * z3 - z2 * y3) + x2 * (z1 * y3 - y1 * z3) +
            x3 * (y1 * z2 - z1 * y2);
 }
 
 /// Volume of a hexahedron given its eight corner coordinates in the
 /// reference node ordering.  Exact for tri-linear hexes.
-inline real_t calc_elem_volume(const real_t x[8], const real_t y[8],
-                               const real_t z[8]) {
+template <class T>
+inline T calc_elem_volume(const T x[8], const T y[8], const T z[8]) {
     const real_t twelveth = real_t(1.0) / real_t(12.0);
 
-    const real_t dx61 = x[6] - x[1], dy61 = y[6] - y[1], dz61 = z[6] - z[1];
-    const real_t dx70 = x[7] - x[0], dy70 = y[7] - y[0], dz70 = z[7] - z[0];
-    const real_t dx63 = x[6] - x[3], dy63 = y[6] - y[3], dz63 = z[6] - z[3];
-    const real_t dx20 = x[2] - x[0], dy20 = y[2] - y[0], dz20 = z[2] - z[0];
-    const real_t dx50 = x[5] - x[0], dy50 = y[5] - y[0], dz50 = z[5] - z[0];
-    const real_t dx64 = x[6] - x[4], dy64 = y[6] - y[4], dz64 = z[6] - z[4];
-    const real_t dx31 = x[3] - x[1], dy31 = y[3] - y[1], dz31 = z[3] - z[1];
-    const real_t dx72 = x[7] - x[2], dy72 = y[7] - y[2], dz72 = z[7] - z[2];
-    const real_t dx43 = x[4] - x[3], dy43 = y[4] - y[3], dz43 = z[4] - z[3];
-    const real_t dx57 = x[5] - x[7], dy57 = y[5] - y[7], dz57 = z[5] - z[7];
-    const real_t dx14 = x[1] - x[4], dy14 = y[1] - y[4], dz14 = z[1] - z[4];
-    const real_t dx25 = x[2] - x[5], dy25 = y[2] - y[5], dz25 = z[2] - z[5];
+    const T dx61 = x[6] - x[1], dy61 = y[6] - y[1], dz61 = z[6] - z[1];
+    const T dx70 = x[7] - x[0], dy70 = y[7] - y[0], dz70 = z[7] - z[0];
+    const T dx63 = x[6] - x[3], dy63 = y[6] - y[3], dz63 = z[6] - z[3];
+    const T dx20 = x[2] - x[0], dy20 = y[2] - y[0], dz20 = z[2] - z[0];
+    const T dx50 = x[5] - x[0], dy50 = y[5] - y[0], dz50 = z[5] - z[0];
+    const T dx64 = x[6] - x[4], dy64 = y[6] - y[4], dz64 = z[6] - z[4];
+    const T dx31 = x[3] - x[1], dy31 = y[3] - y[1], dz31 = z[3] - z[1];
+    const T dx72 = x[7] - x[2], dy72 = y[7] - y[2], dz72 = z[7] - z[2];
+    const T dx43 = x[4] - x[3], dy43 = y[4] - y[3], dz43 = z[4] - z[3];
+    const T dx57 = x[5] - x[7], dy57 = y[5] - y[7], dz57 = z[5] - z[7];
+    const T dx14 = x[1] - x[4], dy14 = y[1] - y[4], dz14 = z[1] - z[4];
+    const T dx25 = x[2] - x[5], dy25 = y[2] - y[5], dz25 = z[2] - z[5];
 
-    real_t volume =
+    T volume =
         triple_product(dx31 + dx72, dx63, dx20, dy31 + dy72, dy63, dy20,
                        dz31 + dz72, dz63, dz20) +
         triple_product(dx43 + dx57, dx64, dx70, dy43 + dy57, dy64, dy70,
@@ -55,44 +74,43 @@ inline real_t calc_elem_volume(const real_t x[8], const real_t y[8],
 
 /// Shape-function derivative matrix b[3][8] and Jacobian determinant
 /// (times 8) of a hexahedron.
-inline void calc_elem_shape_function_derivatives(const real_t x[8],
-                                                 const real_t y[8],
-                                                 const real_t z[8],
-                                                 real_t b[3][8],
-                                                 real_t* volume) {
-    const real_t fjxxi = real_t(.125) * ((x[6] - x[0]) + (x[5] - x[3]) -
-                                         (x[7] - x[1]) - (x[4] - x[2]));
-    const real_t fjxet = real_t(.125) * ((x[6] - x[0]) - (x[5] - x[3]) +
-                                         (x[7] - x[1]) - (x[4] - x[2]));
-    const real_t fjxze = real_t(.125) * ((x[6] - x[0]) + (x[5] - x[3]) +
-                                         (x[7] - x[1]) + (x[4] - x[2]));
+template <class T>
+inline void calc_elem_shape_function_derivatives(const T x[8], const T y[8],
+                                                 const T z[8], T b[3][8],
+                                                 T* volume) {
+    const T fjxxi = real_t(.125) * ((x[6] - x[0]) + (x[5] - x[3]) -
+                                    (x[7] - x[1]) - (x[4] - x[2]));
+    const T fjxet = real_t(.125) * ((x[6] - x[0]) - (x[5] - x[3]) +
+                                    (x[7] - x[1]) - (x[4] - x[2]));
+    const T fjxze = real_t(.125) * ((x[6] - x[0]) + (x[5] - x[3]) +
+                                    (x[7] - x[1]) + (x[4] - x[2]));
 
-    const real_t fjyxi = real_t(.125) * ((y[6] - y[0]) + (y[5] - y[3]) -
-                                         (y[7] - y[1]) - (y[4] - y[2]));
-    const real_t fjyet = real_t(.125) * ((y[6] - y[0]) - (y[5] - y[3]) +
-                                         (y[7] - y[1]) - (y[4] - y[2]));
-    const real_t fjyze = real_t(.125) * ((y[6] - y[0]) + (y[5] - y[3]) +
-                                         (y[7] - y[1]) + (y[4] - y[2]));
+    const T fjyxi = real_t(.125) * ((y[6] - y[0]) + (y[5] - y[3]) -
+                                    (y[7] - y[1]) - (y[4] - y[2]));
+    const T fjyet = real_t(.125) * ((y[6] - y[0]) - (y[5] - y[3]) +
+                                    (y[7] - y[1]) - (y[4] - y[2]));
+    const T fjyze = real_t(.125) * ((y[6] - y[0]) + (y[5] - y[3]) +
+                                    (y[7] - y[1]) + (y[4] - y[2]));
 
-    const real_t fjzxi = real_t(.125) * ((z[6] - z[0]) + (z[5] - z[3]) -
-                                         (z[7] - z[1]) - (z[4] - z[2]));
-    const real_t fjzet = real_t(.125) * ((z[6] - z[0]) - (z[5] - z[3]) +
-                                         (z[7] - z[1]) - (z[4] - z[2]));
-    const real_t fjzze = real_t(.125) * ((z[6] - z[0]) + (z[5] - z[3]) +
-                                         (z[7] - z[1]) + (z[4] - z[2]));
+    const T fjzxi = real_t(.125) * ((z[6] - z[0]) + (z[5] - z[3]) -
+                                    (z[7] - z[1]) - (z[4] - z[2]));
+    const T fjzet = real_t(.125) * ((z[6] - z[0]) - (z[5] - z[3]) +
+                                    (z[7] - z[1]) - (z[4] - z[2]));
+    const T fjzze = real_t(.125) * ((z[6] - z[0]) + (z[5] - z[3]) +
+                                    (z[7] - z[1]) + (z[4] - z[2]));
 
     // Cofactors of the Jacobian.
-    const real_t cjxxi = (fjyet * fjzze) - (fjzet * fjyze);
-    const real_t cjxet = -(fjyxi * fjzze) + (fjzxi * fjyze);
-    const real_t cjxze = (fjyxi * fjzet) - (fjzxi * fjyet);
+    const T cjxxi = (fjyet * fjzze) - (fjzet * fjyze);
+    const T cjxet = -(fjyxi * fjzze) + (fjzxi * fjyze);
+    const T cjxze = (fjyxi * fjzet) - (fjzxi * fjyet);
 
-    const real_t cjyxi = -(fjxet * fjzze) + (fjzet * fjxze);
-    const real_t cjyet = (fjxxi * fjzze) - (fjzxi * fjxze);
-    const real_t cjyze = -(fjxxi * fjzet) + (fjzxi * fjxet);
+    const T cjyxi = -(fjxet * fjzze) + (fjzet * fjxze);
+    const T cjyet = (fjxxi * fjzze) - (fjzxi * fjxze);
+    const T cjyze = -(fjxxi * fjzet) + (fjzxi * fjxet);
 
-    const real_t cjzxi = (fjxet * fjyze) - (fjyet * fjxze);
-    const real_t cjzet = -(fjxxi * fjyze) + (fjyxi * fjxze);
-    const real_t cjzze = (fjxxi * fjyet) - (fjyxi * fjxet);
+    const T cjzxi = (fjxet * fjyze) - (fjyet * fjxze);
+    const T cjzet = -(fjxxi * fjyze) + (fjyxi * fjxze);
+    const T cjzze = (fjxxi * fjyet) - (fjyxi * fjxet);
 
     // Partial derivatives of the shape functions at the element center; only
     // four are independent, the rest follow by symmetry.
@@ -127,26 +145,24 @@ inline void calc_elem_shape_function_derivatives(const real_t x[8],
 }
 
 /// Adds one quad face's area normal, split evenly over its four corners.
-inline void sum_elem_face_normal(real_t* normalX0, real_t* normalY0,
-                                 real_t* normalZ0, real_t* normalX1,
-                                 real_t* normalY1, real_t* normalZ1,
-                                 real_t* normalX2, real_t* normalY2,
-                                 real_t* normalZ2, real_t* normalX3,
-                                 real_t* normalY3, real_t* normalZ3,
-                                 real_t x0, real_t y0, real_t z0, real_t x1,
-                                 real_t y1, real_t z1, real_t x2, real_t y2,
-                                 real_t z2, real_t x3, real_t y3, real_t z3) {
-    const real_t bisectX0 = real_t(0.5) * (x3 + x2 - x1 - x0);
-    const real_t bisectY0 = real_t(0.5) * (y3 + y2 - y1 - y0);
-    const real_t bisectZ0 = real_t(0.5) * (z3 + z2 - z1 - z0);
-    const real_t bisectX1 = real_t(0.5) * (x2 + x1 - x3 - x0);
-    const real_t bisectY1 = real_t(0.5) * (y2 + y1 - y3 - y0);
-    const real_t bisectZ1 = real_t(0.5) * (z2 + z1 - z3 - z0);
-    const real_t areaX =
+template <class T>
+inline void sum_elem_face_normal(T* normalX0, T* normalY0, T* normalZ0,
+                                 T* normalX1, T* normalY1, T* normalZ1,
+                                 T* normalX2, T* normalY2, T* normalZ2,
+                                 T* normalX3, T* normalY3, T* normalZ3, T x0,
+                                 T y0, T z0, T x1, T y1, T z1, T x2, T y2,
+                                 T z2, T x3, T y3, T z3) {
+    const T bisectX0 = real_t(0.5) * (x3 + x2 - x1 - x0);
+    const T bisectY0 = real_t(0.5) * (y3 + y2 - y1 - y0);
+    const T bisectZ0 = real_t(0.5) * (z3 + z2 - z1 - z0);
+    const T bisectX1 = real_t(0.5) * (x2 + x1 - x3 - x0);
+    const T bisectY1 = real_t(0.5) * (y2 + y1 - y3 - y0);
+    const T bisectZ1 = real_t(0.5) * (z2 + z1 - z3 - z0);
+    const T areaX =
         real_t(0.25) * (bisectY0 * bisectZ1 - bisectZ0 * bisectY1);
-    const real_t areaY =
+    const T areaY =
         real_t(0.25) * (bisectZ0 * bisectX1 - bisectX0 * bisectZ1);
-    const real_t areaZ =
+    const T areaZ =
         real_t(0.25) * (bisectX0 * bisectY1 - bisectY0 * bisectX1);
 
     *normalX0 += areaX;
@@ -165,9 +181,9 @@ inline void sum_elem_face_normal(real_t* normalX0, real_t* normalY0,
 
 /// Area-weighted node normals of a hexahedron (the B-matrix used by the
 /// stress integration).  pfx/pfy/pfz must be zero-initialized by the caller.
-inline void calc_elem_node_normals(real_t pfx[8], real_t pfy[8],
-                                   real_t pfz[8], const real_t x[8],
-                                   const real_t y[8], const real_t z[8]) {
+template <class T>
+inline void calc_elem_node_normals(T pfx[8], T pfy[8], T pfz[8],
+                                   const T x[8], const T y[8], const T z[8]) {
     for (int i = 0; i < 8; ++i) {
         pfx[i] = real_t(0.0);
         pfy[i] = real_t(0.0);
@@ -206,11 +222,10 @@ inline void calc_elem_node_normals(real_t pfx[8], real_t pfy[8],
 }
 
 /// Stress → corner forces: f = -sigma * node_normal per corner.
-inline void sum_elem_stresses_to_node_forces(const real_t B[3][8],
-                                             real_t stress_xx,
-                                             real_t stress_yy,
-                                             real_t stress_zz, real_t fx[8],
-                                             real_t fy[8], real_t fz[8]) {
+template <class T>
+inline void sum_elem_stresses_to_node_forces(const T B[3][8], T stress_xx,
+                                             T stress_yy, T stress_zz,
+                                             T fx[8], T fy[8], T fz[8]) {
     for (int i = 0; i < 8; ++i) {
         fx[i] = -(stress_xx * B[0][i]);
         fy[i] = -(stress_yy * B[1][i]);
@@ -219,11 +234,10 @@ inline void sum_elem_stresses_to_node_forces(const real_t B[3][8],
 }
 
 /// One corner's volume derivative (reference VoluDer).
-inline void volu_der(real_t x0, real_t x1, real_t x2, real_t x3, real_t x4,
-                     real_t x5, real_t y0, real_t y1, real_t y2, real_t y3,
-                     real_t y4, real_t y5, real_t z0, real_t z1, real_t z2,
-                     real_t z3, real_t z4, real_t z5, real_t* dvdx,
-                     real_t* dvdy, real_t* dvdz) {
+template <class T>
+inline void volu_der(T x0, T x1, T x2, T x3, T x4, T x5, T y0, T y1, T y2,
+                     T y3, T y4, T y5, T z0, T z1, T z2, T z3, T z4, T z5,
+                     T* dvdx, T* dvdy, T* dvdz) {
     const real_t twelfth = real_t(1.0) / real_t(12.0);
 
     *dvdx = (y1 + y2) * (z0 + z1) - (y0 + y1) * (z1 + z2) +
@@ -242,9 +256,10 @@ inline void volu_der(real_t x0, real_t x1, real_t x2, real_t x3, real_t x4,
 }
 
 /// Volume derivatives with respect to each corner's coordinates.
-inline void calc_elem_volume_derivative(real_t dvdx[8], real_t dvdy[8],
-                                        real_t dvdz[8], const real_t x[8],
-                                        const real_t y[8], const real_t z[8]) {
+template <class T>
+inline void calc_elem_volume_derivative(T dvdx[8], T dvdy[8], T dvdz[8],
+                                        const T x[8], const T y[8],
+                                        const T z[8]) {
     volu_der(x[1], x[2], x[3], x[4], x[5], x[7], y[1], y[2], y[3], y[4], y[5],
              y[7], z[1], z[2], z[3], z[4], z[5], z[7], &dvdx[0], &dvdy[0],
              &dvdz[0]);
@@ -280,12 +295,12 @@ inline constexpr real_t hourglass_gamma[4][8] = {
 
 /// Hourglass force of one element from its hourglass shape vectors
 /// (hourgam), nodal velocities, and the damping coefficient.
-inline void calc_elem_fb_hourglass_force(const real_t* xd, const real_t* yd,
-                                         const real_t* zd,
-                                         const real_t hourgam[8][4],
-                                         real_t coefficient, real_t* hgfx,
-                                         real_t* hgfy, real_t* hgfz) {
-    real_t hxx[4];
+template <class T>
+inline void calc_elem_fb_hourglass_force(const T* xd, const T* yd,
+                                         const T* zd, const T hourgam[8][4],
+                                         T coefficient, T* hgfx, T* hgfy,
+                                         T* hgfz) {
+    T hxx[4];
     for (int i = 0; i < 4; ++i) {
         hxx[i] = hourgam[0][i] * xd[0] + hourgam[1][i] * xd[1] +
                  hourgam[2][i] * xd[2] + hourgam[3][i] * xd[3] +
@@ -320,65 +335,64 @@ inline void calc_elem_fb_hourglass_force(const real_t* xd, const real_t* yd,
 
 /// Squared area of the quad face (x0..x3, ...) — helper for the
 /// characteristic length.
-inline real_t area_face(real_t x0, real_t x1, real_t x2, real_t x3, real_t y0,
-                        real_t y1, real_t y2, real_t y3, real_t z0, real_t z1,
-                        real_t z2, real_t z3) {
-    const real_t fx = (x2 - x0) - (x3 - x1);
-    const real_t fy = (y2 - y0) - (y3 - y1);
-    const real_t fz = (z2 - z0) - (z3 - z1);
-    const real_t gx = (x2 - x0) + (x3 - x1);
-    const real_t gy = (y2 - y0) + (y3 - y1);
-    const real_t gz = (z2 - z0) + (z3 - z1);
+template <class T>
+inline T area_face(T x0, T x1, T x2, T x3, T y0, T y1, T y2, T y3, T z0,
+                   T z1, T z2, T z3) {
+    const T fx = (x2 - x0) - (x3 - x1);
+    const T fy = (y2 - y0) - (y3 - y1);
+    const T fz = (z2 - z0) - (z3 - z1);
+    const T gx = (x2 - x0) + (x3 - x1);
+    const T gy = (y2 - y0) + (y3 - y1);
+    const T gz = (z2 - z0) + (z3 - z1);
     return (fx * fx + fy * fy + fz * fz) * (gx * gx + gy * gy + gz * gz) -
            (fx * gx + fy * gy + fz * gz) * (fx * gx + fy * gy + fz * gz);
 }
 
 /// Characteristic length: 4 * volume / sqrt(largest face area).
-inline real_t calc_elem_characteristic_length(const real_t x[8],
-                                              const real_t y[8],
-                                              const real_t z[8],
-                                              real_t volume) {
-    real_t char_length = real_t(0.0);
+template <class T>
+inline T calc_elem_characteristic_length(const T x[8], const T y[8],
+                                          const T z[8], T volume) {
+    T char_length = real_t(0.0);
 
-    real_t a = area_face(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3], z[0],
-                         z[1], z[2], z[3]);
-    if (a > char_length) char_length = a;
+    T a = area_face(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3], z[0], z[1],
+                    z[2], z[3]);
+    char_length = select(gt(a, char_length), a, char_length);
 
     a = area_face(x[4], x[5], x[6], x[7], y[4], y[5], y[6], y[7], z[4], z[5],
                   z[6], z[7]);
-    if (a > char_length) char_length = a;
+    char_length = select(gt(a, char_length), a, char_length);
 
     a = area_face(x[0], x[1], x[5], x[4], y[0], y[1], y[5], y[4], z[0], z[1],
                   z[5], z[4]);
-    if (a > char_length) char_length = a;
+    char_length = select(gt(a, char_length), a, char_length);
 
     a = area_face(x[1], x[2], x[6], x[5], y[1], y[2], y[6], y[5], z[1], z[2],
                   z[6], z[5]);
-    if (a > char_length) char_length = a;
+    char_length = select(gt(a, char_length), a, char_length);
 
     a = area_face(x[2], x[3], x[7], x[6], y[2], y[3], y[7], y[6], z[2], z[3],
                   z[7], z[6]);
-    if (a > char_length) char_length = a;
+    char_length = select(gt(a, char_length), a, char_length);
 
     a = area_face(x[3], x[0], x[4], x[7], y[3], y[0], y[4], y[7], z[3], z[0],
                   z[4], z[7]);
-    if (a > char_length) char_length = a;
+    char_length = select(gt(a, char_length), a, char_length);
 
-    char_length = real_t(4.0) * volume / std::sqrt(char_length);
+    char_length = real_t(4.0) * volume / sqrt_of(char_length);
     return char_length;
 }
 
 /// Velocity gradient (principal strain-rate components) of one element.
 /// All six components are computed as in the reference even though only the
 /// diagonal is consumed, to preserve the computational structure.
-inline void calc_elem_velocity_gradient(const real_t* xvel, const real_t* yvel,
-                                        const real_t* zvel,
-                                        const real_t b[3][8], real_t detJ,
-                                        real_t* d /* [6] */) {
-    const real_t inv_detJ = real_t(1.0) / detJ;
-    const real_t* pfx = b[0];
-    const real_t* pfy = b[1];
-    const real_t* pfz = b[2];
+template <class T>
+inline void calc_elem_velocity_gradient(const T* xvel, const T* yvel,
+                                        const T* zvel, const T b[3][8],
+                                        T detJ, T* d /* [6] */) {
+    const T inv_detJ = real_t(1.0) / detJ;
+    const T* pfx = b[0];
+    const T* pfy = b[1];
+    const T* pfz = b[2];
 
     d[0] = inv_detJ * (pfx[0] * (xvel[0] - xvel[6]) + pfx[1] * (xvel[1] - xvel[7]) +
                        pfx[2] * (xvel[2] - xvel[4]) + pfx[3] * (xvel[3] - xvel[5]));
@@ -387,22 +401,22 @@ inline void calc_elem_velocity_gradient(const real_t* xvel, const real_t* yvel,
     d[2] = inv_detJ * (pfz[0] * (zvel[0] - zvel[6]) + pfz[1] * (zvel[1] - zvel[7]) +
                        pfz[2] * (zvel[2] - zvel[4]) + pfz[3] * (zvel[3] - zvel[5]));
 
-    const real_t dyddx =
+    const T dyddx =
         inv_detJ * (pfx[0] * (yvel[0] - yvel[6]) + pfx[1] * (yvel[1] - yvel[7]) +
                     pfx[2] * (yvel[2] - yvel[4]) + pfx[3] * (yvel[3] - yvel[5]));
-    const real_t dxddy =
+    const T dxddy =
         inv_detJ * (pfy[0] * (xvel[0] - xvel[6]) + pfy[1] * (xvel[1] - xvel[7]) +
                     pfy[2] * (xvel[2] - xvel[4]) + pfy[3] * (xvel[3] - xvel[5]));
-    const real_t dzddx =
+    const T dzddx =
         inv_detJ * (pfx[0] * (zvel[0] - zvel[6]) + pfx[1] * (zvel[1] - zvel[7]) +
                     pfx[2] * (zvel[2] - zvel[4]) + pfx[3] * (zvel[3] - zvel[5]));
-    const real_t dxddz =
+    const T dxddz =
         inv_detJ * (pfz[0] * (xvel[0] - xvel[6]) + pfz[1] * (xvel[1] - xvel[7]) +
                     pfz[2] * (xvel[2] - xvel[4]) + pfz[3] * (xvel[3] - xvel[5]));
-    const real_t dzddy =
+    const T dzddy =
         inv_detJ * (pfy[0] * (zvel[0] - zvel[6]) + pfy[1] * (zvel[1] - zvel[7]) +
                     pfy[2] * (zvel[2] - zvel[4]) + pfy[3] * (zvel[3] - zvel[5]));
-    const real_t dyddz =
+    const T dyddz =
         inv_detJ * (pfz[0] * (yvel[0] - yvel[6]) + pfz[1] * (yvel[1] - yvel[7]) +
                     pfz[2] * (yvel[2] - yvel[4]) + pfz[3] * (yvel[3] - yvel[5]));
 

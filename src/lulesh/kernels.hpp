@@ -56,7 +56,15 @@ void calc_fb_hourglass_force(domain& d, index_t lo, index_t hi,
                              const real_t* determ, real_t hgcoef);
 
 /// Fused task bodies (paper T3+T5): same arithmetic as the loop-granular
-/// kernels above but with chunk-local temporaries.
+/// kernels above but with chunk-local temporaries, two elements at a time,
+/// one per lane of an SSE2 register (lanes::pack<1>), with an odd tail and
+/// non-x86 targets running the same template one element at a time.  Per
+/// element they perform the loop-granular kernels' operations in their
+/// order, so the results are bitwise those of the one-element kernels,
+/// which stay scalar: the serial, parallel-for, foreach and OpenMP drivers
+/// run them, so that driver equivalence checks the packed path against an
+/// independent one.  Both return false if any element's Jacobian
+/// determinant (stress) or relative volume v (hourglass) is non-positive.
 bool force_stress_chunk(domain& d, index_t lo, index_t hi);
 bool force_hourglass_chunk(domain& d, index_t lo, index_t hi);
 
@@ -92,7 +100,10 @@ void velocity_position_chunk(domain& d, index_t lo, index_t hi, real_t dt);
 
 /// Kinematics for elements [lo, hi): new relative volume (vnew), delv,
 /// characteristic length, and principal strain rates dxx/dyy/dzz evaluated
-/// at the half step.
+/// at the half step.  Two elements at a time in SSE2 lanes like the force
+/// chunks, with the same one-element template for the odd tail; every
+/// driver runs it, and each element's results are bitwise those of the
+/// one-element instance.
 void calc_kinematics(domain& d, index_t lo, index_t hi, real_t dt);
 
 /// vdov and deviatoric strain rates for elements [lo, hi); returns false if
@@ -119,16 +130,24 @@ void update_volumes(domain& d, index_t lo, index_t hi);
 
 // ===================== EOS =====================
 
-/// Region-local work arrays for the EOS pipeline.  The parallel-for driver
-/// allocates one per region (the reference allocates globally per call); the
-/// task driver allocates one per task, chunk-sized — the paper's task-local
-/// temporaries trick.  The loop-granular phases use every array;
-/// eval_eos_chunk writes only e_new, p_new, q_new, bvc and pbvc, which
-/// store and sound speed read after the last repetition.
-struct eos_scratch {
+/// Task-local work arrays of the fused EOS pass (eval_eos_chunk): the five
+/// arrays every repetition writes and store and sound speed read after the
+/// last one.  The serial driver reuses one across regions; the task drivers
+/// allocate one per EOS task, chunk-sized — the paper's task-local
+/// temporaries trick.
+struct eos_chunk_scratch {
+    std::vector<real_t> p_new, e_new, q_new, bvc, pbvc;
+
+    void resize(std::size_t n);
+};
+
+/// Region-local work arrays of the loop-granular EOS phases: the fused
+/// pass's five plus the ten the phases pass between each other.  The
+/// parallel-for, foreach and OpenMP drivers allocate one per region (the
+/// reference allocates globally per call).
+struct eos_scratch : eos_chunk_scratch {
     std::vector<real_t> e_old, delvc, p_old, q_old, qq_old, ql_old;
-    std::vector<real_t> compression, comp_half_step, work;
-    std::vector<real_t> p_new, e_new, q_new, bvc, pbvc, p_half_step;
+    std::vector<real_t> compression, comp_half_step, work, p_half_step;
 
     void resize(std::size_t n);
 };
@@ -165,24 +184,24 @@ void energy_step3(const domain& d, const index_t* list, index_t lo, index_t hi,
 void energy_q_final(const domain& d, const index_t* list, index_t lo,
                     index_t hi, eos_scratch& s);
 void eos_store(domain& d, const index_t* list, index_t lo, index_t hi,
-               const eos_scratch& s);
+               const eos_chunk_scratch& s);
 void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
-                     const eos_scratch& s);
+                     const eos_chunk_scratch& s);
 
 /// Fused task body: the complete EOS pipeline on the slice [lo, hi) of a
 /// region's element list, with task-local scratch (paper tricks T3+T5).
 /// Each of the `rep` repetitions is one pass over the slice that gathers
 /// its inputs from the domain again and recomputes every phase; store and
 /// sound speed follow the last repetition.  The pass keeps eight elements
-/// in flight (four SSE2 registers per value; a scalar tail and non-x86
-/// targets run the same expressions one element at a time), because one
-/// element's chain of six divisions and three square roots is latency-
-/// bound.  Per element it performs the loop-granular phases' operations in
-/// their order, so its results are bitwise those of the phases.  `s` must
-/// be resized to at least hi-lo by the caller (tasks reuse a scratch sized
-/// to the partition).
+/// in flight (lanes::pack<4>, four SSE2 registers per value; a scalar tail
+/// and non-x86 targets run the same expressions one element at a time),
+/// because one element's chain of six divisions and three square roots is
+/// latency-bound.  Per element it performs the loop-granular phases'
+/// operations in their order, so its results are bitwise those of the
+/// phases.  `s` must be resized to at least hi-lo by the caller (tasks
+/// reuse a scratch sized to the partition).
 void eval_eos_chunk(domain& d, const index_t* list, index_t lo, index_t hi,
-                    int rep, eos_scratch& s);
+                    int rep, eos_chunk_scratch& s);
 
 /// Returns the reference's EOS repetition count for region r: 1x for the
 /// cheap half, (1+cost)x for the mid tier, 10*(1+cost)x for the top ~5%.

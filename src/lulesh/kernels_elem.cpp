@@ -6,8 +6,64 @@
 #include "lulesh/elem_geometry.hpp"
 #include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
+#include "lulesh/lanes.hpp"
 
 namespace lulesh::kernels {
+
+namespace {
+
+using lanes::load;
+using lanes::store;
+
+/// Kinematics of the elements in V's lanes, k and up (`lane` only carries
+/// the type).
+template <class V>
+void kinematics_elem(V /*lane*/, domain& d, index_t k, real_t dt2) {
+    V B[3][8];
+    V D[6];
+    V x_local[8], y_local[8], z_local[8];
+    V xd_local[8], yd_local[8], zd_local[8];
+
+    const index_t* nl = d.nodelist(k);
+    geom::gather_corners(d.x, nl, x_local);
+    geom::gather_corners(d.y, nl, y_local);
+    geom::gather_corners(d.z, nl, z_local);
+
+    const auto i = static_cast<std::size_t>(k);
+
+    // New relative volume and volume change.
+    const V volume = geom::calc_elem_volume(x_local, y_local, z_local);
+    const V relative_volume = volume / load<V>(&d.volo[i]);
+    store(&d.vnew[i], relative_volume);
+    store(&d.delv[i], relative_volume - load<V>(&d.v[i]));
+
+    store(&d.arealg[i], geom::calc_elem_characteristic_length(
+                            x_local, y_local, z_local, volume));
+
+    geom::gather_corners(d.xd, nl, xd_local);
+    geom::gather_corners(d.yd, nl, yd_local);
+    geom::gather_corners(d.zd, nl, zd_local);
+
+    // Evaluate the velocity gradient at the half step: move the corner
+    // coordinates back by dt/2.
+    for (int c = 0; c < 8; ++c) {
+        x_local[c] -= dt2 * xd_local[c];
+        y_local[c] -= dt2 * yd_local[c];
+        z_local[c] -= dt2 * zd_local[c];
+    }
+
+    V det_j = real_t(0.0);
+    geom::calc_elem_shape_function_derivatives(x_local, y_local, z_local, B,
+                                               &det_j);
+    geom::calc_elem_velocity_gradient(xd_local, yd_local, zd_local, B, det_j,
+                                      D);
+
+    store(&d.dxx[i], D[0]);
+    store(&d.dyy[i], D[1]);
+    store(&d.dzz[i], D[2]);
+}
+
+}  // namespace
 
 void calc_kinematics(domain& d, index_t lo, index_t hi, real_t dt) {
     hazard_touch(field::vnew, true, lo, hi);
@@ -25,57 +81,9 @@ void calc_kinematics(domain& d, index_t lo, index_t hi, real_t dt) {
     hazard_covers(field::yd);
     hazard_covers(field::zd);
     const real_t dt2 = real_t(0.5) * dt;
-    for (index_t k = lo; k < hi; ++k) {
-        real_t B[3][8];
-        real_t D[6];
-        real_t x_local[8], y_local[8], z_local[8];
-        real_t xd_local[8], yd_local[8], zd_local[8];
-
-        const index_t* nl = d.nodelist(k);
-        for (int c = 0; c < 8; ++c) {
-            const auto n = static_cast<std::size_t>(nl[c]);
-            x_local[c] = d.x[n];
-            y_local[c] = d.y[n];
-            z_local[c] = d.z[n];
-        }
-
-        const auto i = static_cast<std::size_t>(k);
-
-        // New relative volume and volume change.
-        const real_t volume = geom::calc_elem_volume(x_local, y_local, z_local);
-        const real_t relative_volume = volume / d.volo[i];
-        d.vnew[i] = relative_volume;
-        d.delv[i] = relative_volume - d.v[i];
-
-        d.arealg[i] =
-            geom::calc_elem_characteristic_length(x_local, y_local, z_local,
-                                                  volume);
-
-        for (int c = 0; c < 8; ++c) {
-            const auto n = static_cast<std::size_t>(nl[c]);
-            xd_local[c] = d.xd[n];
-            yd_local[c] = d.yd[n];
-            zd_local[c] = d.zd[n];
-        }
-
-        // Evaluate the velocity gradient at the half step: move the corner
-        // coordinates back by dt/2.
-        for (int c = 0; c < 8; ++c) {
-            x_local[c] -= dt2 * xd_local[c];
-            y_local[c] -= dt2 * yd_local[c];
-            z_local[c] -= dt2 * zd_local[c];
-        }
-
-        real_t det_j = real_t(0.0);
-        geom::calc_elem_shape_function_derivatives(x_local, y_local, z_local,
-                                                   B, &det_j);
-        geom::calc_elem_velocity_gradient(xd_local, yd_local, zd_local, B,
-                                          det_j, D);
-
-        d.dxx[i] = D[0];
-        d.dyy[i] = D[1];
-        d.dzz[i] = D[2];
-    }
+    lanes::for_each<lanes::packed<1>>(lo, hi, [&](auto lane, index_t k) {
+        kinematics_elem(lane, d, k, dt2);
+    });
 }
 
 bool calc_lagrange_deviatoric(domain& d, index_t lo, index_t hi) {

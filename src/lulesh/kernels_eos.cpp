@@ -13,16 +13,21 @@
 #include <cstddef>
 #include <vector>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define LULESH_EOS_SSE2 1
-#include <emmintrin.h>
-#endif
-
 #include "lulesh/kernels.hpp"
+#include "lulesh/lanes.hpp"
 
 namespace lulesh::kernels {
 
+void eos_chunk_scratch::resize(std::size_t n) {
+    p_new.resize(n);
+    e_new.resize(n);
+    q_new.resize(n);
+    bvc.resize(n);
+    pbvc.resize(n);
+}
+
 void eos_scratch::resize(std::size_t n) {
+    eos_chunk_scratch::resize(n);
     e_old.resize(n);
     delvc.resize(n);
     p_old.resize(n);
@@ -32,11 +37,6 @@ void eos_scratch::resize(std::size_t n) {
     compression.resize(n);
     comp_half_step.resize(n);
     work.resize(n);
-    p_new.resize(n);
-    e_new.resize(n);
-    q_new.resize(n);
-    bvc.resize(n);
-    pbvc.resize(n);
     p_half_step.resize(n);
 }
 
@@ -267,7 +267,7 @@ void energy_q_final(const domain& d, const index_t* list, index_t lo,
 }
 
 void eos_store(domain& d, const index_t* list, index_t lo, index_t hi,
-               const eos_scratch& s) {
+               const eos_chunk_scratch& s) {
     for (index_t i = lo; i < hi; ++i) {
         const auto j = static_cast<std::size_t>(i);
         const auto z = static_cast<std::size_t>(list[i]);
@@ -278,7 +278,7 @@ void eos_store(domain& d, const index_t* list, index_t lo, index_t hi,
 }
 
 void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
-                     const eos_scratch& s) {
+                     const eos_chunk_scratch& s) {
     const real_t rho0 = d.refdens;
     for (index_t i = lo; i < hi; ++i) {
         const auto j = static_cast<std::size_t>(i);
@@ -300,107 +300,30 @@ namespace {
 // ---- the fused pass: one repetition of the whole pipeline per element ----
 //
 // eos_rep below is the loop-granular phases above, composed per element and
-// written once for two lane types: real_t (one element, the scalar tail and
-// the non-x86 fallback) and pack8 (eight elements as four SSE2 registers).
-// Each element's pipeline is a dependent chain of six divisions and three
-// square roots, so the pass is bound by their latency; eight independent
-// elements in flight hide it.  Branches become selects, and every
-// element's operations keep the order of the phases, so both lane types
-// give the phases' results bit for bit: SSE2 arithmetic, sqrt and the
-// ordered compares are the IEEE operations the scalar code uses, and the
-// library is built with -ffp-contract=off so no build fuses a multiply and
-// an add into an FMA on one path and not on the other.
+// written once for two lane types (lanes.hpp): real_t (one element, the
+// scalar tail and the non-x86 fallback) and pack<4> (eight elements as four
+// SSE2 registers).  Each element's pipeline is a dependent chain of six
+// divisions and three square roots, so the pass is bound by their latency;
+// eight independent elements in flight hide it.  Branches become selects,
+// and every element's operations keep the order of the phases, so both
+// lane types give the phases' results bit for bit.
 
-bool lt(real_t a, real_t b) { return a < b; }
-bool le(real_t a, real_t b) { return a <= b; }
-bool gt(real_t a, real_t b) { return a > b; }
-bool ge(real_t a, real_t b) { return a >= b; }
-real_t select(bool m, real_t a, real_t b) { return m ? a : b; }
-real_t abs_of(real_t a) { return std::fabs(a); }
-// f[list[k]] for the lanes k of V.
-template <class V>
-V gather(const std::vector<real_t>& f, const index_t* list);
-template <>
-real_t gather<real_t>(const std::vector<real_t>& f, const index_t* list) {
-    return f[static_cast<std::size_t>(list[0])];
-}
-void store(real_t* dst, real_t v) { *dst = v; }
+using lanes::abs_of;
+using lanes::ge;
+using lanes::gather;
+using lanes::gt;
+using lanes::le;
+using lanes::lt;
+using lanes::select;
+using lanes::sqrt_of;
+using lanes::store;
 
 // The reference's sound-speed floor: sqrt(ssc), or a tiny constant when
 // ssc is at or below `cutoff`.
-real_t sqrt_above(real_t ssc, real_t cutoff) {
-    return ssc <= cutoff ? real_t(.3333333e-18) : std::sqrt(ssc);
+template <class V>
+V sqrt_above(const V& ssc, real_t cutoff) {
+    return select(le(ssc, cutoff), real_t(.3333333e-18), sqrt_of(ssc));
 }
-
-#if defined(LULESH_EOS_SSE2)
-
-struct pack8 {
-    __m128d r[4];
-    pack8() = default;
-    pack8(real_t c) {  // NOLINT: implicit splat keeps eos_rep's literals
-        for (auto& x : r) x = _mm_set1_pd(c);
-    }
-};
-using mask8 = pack8;  // all-ones / all-zeros lanes
-
-template <class Op>
-pack8 lanes(const pack8& a, const pack8& b, Op op) {
-    pack8 out;
-    for (int k = 0; k < 4; ++k) out.r[k] = op(a.r[k], b.r[k]);
-    return out;
-}
-
-#define LULESH_EOS_LANEWISE(name, intrinsic)                      \
-    pack8 name(const pack8& a, const pack8& b) {                  \
-        return lanes(a, b, [](__m128d x, __m128d y) {             \
-            return intrinsic(x, y);                               \
-        });                                                       \
-    }
-LULESH_EOS_LANEWISE(operator+, _mm_add_pd)
-LULESH_EOS_LANEWISE(operator-, _mm_sub_pd)
-LULESH_EOS_LANEWISE(operator*, _mm_mul_pd)
-LULESH_EOS_LANEWISE(operator/, _mm_div_pd)
-LULESH_EOS_LANEWISE(lt, _mm_cmplt_pd)
-LULESH_EOS_LANEWISE(le, _mm_cmple_pd)
-LULESH_EOS_LANEWISE(gt, _mm_cmpgt_pd)
-LULESH_EOS_LANEWISE(ge, _mm_cmpge_pd)
-#undef LULESH_EOS_LANEWISE
-
-pack8 select(const mask8& m, const pack8& a, const pack8& b) {
-    pack8 out;
-    for (int k = 0; k < 4; ++k) {
-        out.r[k] = _mm_or_pd(_mm_and_pd(m.r[k], a.r[k]),
-                             _mm_andnot_pd(m.r[k], b.r[k]));
-    }
-    return out;
-}
-
-pack8 abs_of(const pack8& a) {
-    // fabs: clear the sign bit.
-    return lanes(pack8(real_t(-0.0)), a,
-                 [](__m128d sign, __m128d x) { return _mm_andnot_pd(sign, x); });
-}
-
-pack8 sqrt_above(const pack8& ssc, real_t cutoff) {
-    pack8 root;
-    for (int k = 0; k < 4; ++k) root.r[k] = _mm_sqrt_pd(ssc.r[k]);
-    return select(le(ssc, cutoff), real_t(.3333333e-18), root);
-}
-
-template <>
-pack8 gather<pack8>(const std::vector<real_t>& f, const index_t* list) {
-    pack8 out;
-    for (int k = 0; k < 4; ++k) {
-        out.r[k] = _mm_set_pd(f[static_cast<std::size_t>(list[2 * k + 1])],
-                              f[static_cast<std::size_t>(list[2 * k])]);
-    }
-    return out;
-}
-
-void store(real_t* dst, const pack8& v) {
-    for (int k = 0; k < 4; ++k) _mm_storeu_pd(dst + 2 * k, v.r[k]);
-}
-#endif
 
 /// pressure_p for one lane set: p = bvc * e, cut, vmax, pmin.
 template <class V, class M>
@@ -415,7 +338,7 @@ V eos_pressure(const domain& d, const V& bvc, const V& e, const M& above_vmax) {
 /// `list`, writing e_new/p_new/q_new/bvc/pbvc to scratch index j.  The
 /// comment on each block names the phase it composes.
 template <class V>
-void eos_rep(const domain& d, const index_t* list, eos_scratch& s,
+void eos_rep(const domain& d, const index_t* list, eos_chunk_scratch& s,
              std::size_t j) {
     const real_t emin = d.emin;
     const real_t e_cut = d.e_cut;
@@ -508,7 +431,7 @@ void eos_rep(const domain& d, const index_t* list, eos_scratch& s,
 }  // namespace
 
 void eval_eos_chunk(domain& d, const index_t* list, index_t lo, index_t hi,
-                    int rep, eos_scratch& s) {
+                    int rep, eos_chunk_scratch& s) {
     // The task body works on scratch indices [0, hi-lo); shift the list
     // pointer so the pass sees local indices starting at zero.
     const index_t count = hi - lo;
@@ -516,15 +439,10 @@ void eval_eos_chunk(domain& d, const index_t* list, index_t lo, index_t hi,
     for (int r = 0; r < rep; ++r) {
         // Every repetition gathers its inputs from the domain again and
         // recomputes the whole pipeline, as the reference does.
-        index_t i = 0;
-#if defined(LULESH_EOS_SSE2)
-        for (; i + 8 <= count; i += 8) {
-            eos_rep<pack8>(d, chunk_list + i, s, static_cast<std::size_t>(i));
-        }
-#endif
-        for (; i < count; ++i) {
-            eos_rep<real_t>(d, chunk_list + i, s, static_cast<std::size_t>(i));
-        }
+        lanes::for_each<lanes::packed<4>>(0, count, [&](auto lane, index_t i) {
+            eos_rep<decltype(lane)>(d, chunk_list + i, s,
+                                    static_cast<std::size_t>(i));
+        });
     }
     eos_store(d, chunk_list, 0, count, s);
     eos_sound_speed(d, chunk_list, 0, count, s);

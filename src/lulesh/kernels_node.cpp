@@ -7,78 +7,78 @@
 #include "lulesh/elem_geometry.hpp"
 #include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
+#include "lulesh/lanes.hpp"
 
 namespace lulesh::kernels {
 
 namespace {
 
-/// Corner forces of one element from its stress state; writes
-/// d.fx_elem[k*8 .. k*8+7] (and y/z).  Returns the Jacobian determinant.
-inline real_t stress_corner_forces_elem(domain& d, index_t k, real_t sxx,
-                                        real_t syy, real_t szz) {
-    real_t B[3][8];
-    real_t x_local[8], y_local[8], z_local[8];
+using lanes::any;
+using lanes::cbrt_of;
+using lanes::le;
+using lanes::load;
+using lanes::store_corners;
+
+// The element helpers below run on the elements of one lane type V (see
+// lanes.hpp): the fused chunks call them with two elements per SSE2
+// register, the loop-granular kernels one element at a time.
+
+/// Corner forces of the elements in V's lanes, k and up, from their stress
+/// state; writes d.fx_elem[k*8 ..] (and y/z).  Returns the Jacobian
+/// determinant.
+template <class V>
+V stress_corner_forces_elem(domain& d, index_t k, V sxx, V syy, V szz) {
+    V B[3][8];
+    V x_local[8], y_local[8], z_local[8];
     const index_t* nl = d.nodelist(k);
-    for (int i = 0; i < 8; ++i) {
-        const auto n = static_cast<std::size_t>(nl[i]);
-        x_local[i] = d.x[n];
-        y_local[i] = d.y[n];
-        z_local[i] = d.z[n];
-    }
-    real_t determ;
+    geom::gather_corners(d.x, nl, x_local);
+    geom::gather_corners(d.y, nl, y_local);
+    geom::gather_corners(d.z, nl, z_local);
+    V determ;
     geom::calc_elem_shape_function_derivatives(x_local, y_local, z_local, B,
                                                &determ);
     geom::calc_elem_node_normals(B[0], B[1], B[2], x_local, y_local, z_local);
+    V fx[8], fy[8], fz[8];
+    geom::sum_elem_stresses_to_node_forces(B, sxx, syy, szz, fx, fy, fz);
     const auto base = static_cast<std::size_t>(k) * 8;
-    geom::sum_elem_stresses_to_node_forces(B, sxx, syy, szz,
-                                           &d.fx_elem[base], &d.fy_elem[base],
-                                           &d.fz_elem[base]);
+    store_corners(&d.fx_elem[base], fx);
+    store_corners(&d.fy_elem[base], fy);
+    store_corners(&d.fz_elem[base], fz);
     return determ;
 }
 
-/// Hourglass control of one element: volume derivatives and corner
-/// coordinates.  Returns volo * v (the hourglass "determ").
-inline real_t hourglass_control_elem(const domain& d, index_t i, real_t* dvdx8,
-                                     real_t* dvdy8, real_t* dvdz8, real_t* x8,
-                                     real_t* y8, real_t* z8) {
-    real_t x1[8], y1[8], z1[8];
-    real_t pfx[8], pfy[8], pfz[8];
+/// Hourglass control of the elements in V's lanes, i and up: volume
+/// derivatives and corner coordinates.  Returns volo * v (the hourglass
+/// "determ").
+template <class V>
+V hourglass_control_elem(const domain& d, index_t i, V* dvdx8, V* dvdy8,
+                         V* dvdz8, V* x8, V* y8, V* z8) {
     const index_t* nl = d.nodelist(i);
-    for (int c = 0; c < 8; ++c) {
-        const auto n = static_cast<std::size_t>(nl[c]);
-        x1[c] = d.x[n];
-        y1[c] = d.y[n];
-        z1[c] = d.z[n];
-    }
-    geom::calc_elem_volume_derivative(pfx, pfy, pfz, x1, y1, z1);
-    for (int c = 0; c < 8; ++c) {
-        dvdx8[c] = pfx[c];
-        dvdy8[c] = pfy[c];
-        dvdz8[c] = pfz[c];
-        x8[c] = x1[c];
-        y8[c] = y1[c];
-        z8[c] = z1[c];
-    }
-    return d.volo[static_cast<std::size_t>(i)] *
-           d.v[static_cast<std::size_t>(i)];
+    geom::gather_corners(d.x, nl, x8);
+    geom::gather_corners(d.y, nl, y8);
+    geom::gather_corners(d.z, nl, z8);
+    geom::calc_elem_volume_derivative(dvdx8, dvdy8, dvdz8, x8, y8, z8);
+    const auto k = static_cast<std::size_t>(i);
+    return load<V>(&d.volo[k]) * load<V>(&d.v[k]);
 }
 
-/// FB hourglass force of one element; writes d.fx_elem_hg[i2*8..] (and y/z).
-inline void fb_hourglass_elem(domain& d, index_t i2, const real_t* dvdx8,
-                              const real_t* dvdy8, const real_t* dvdz8,
-                              const real_t* x8, const real_t* y8,
-                              const real_t* z8, real_t determ,
-                              real_t hourg) {
-    real_t hourgam[8][4];
+/// FB hourglass force of the elements in V's lanes, i2 and up; writes
+/// d.fx_elem_hg[i2*8 ..] (and y/z).
+template <class V>
+void fb_hourglass_elem(domain& d, index_t i2, const V* dvdx8, const V* dvdy8,
+                       const V* dvdz8, const V* x8, const V* y8, const V* z8,
+                       V determ, real_t hourg) {
+    V hourgam[8][4];
     for (int i1 = 0; i1 < 4; ++i1) {
         const real_t* gam = geom::hourglass_gamma[i1];
-        real_t hourmodx = 0, hourmody = 0, hourmodz = 0;
+        V hourmodx = real_t(0.0), hourmody = real_t(0.0),
+          hourmodz = real_t(0.0);
         for (int c = 0; c < 8; ++c) {
             hourmodx += x8[c] * gam[c];
             hourmody += y8[c] * gam[c];
             hourmodz += z8[c] * gam[c];
         }
-        const real_t volinv = real_t(1.0) / determ;
+        const V volinv = real_t(1.0) / determ;
         for (int c = 0; c < 8; ++c) {
             hourgam[c][i1] =
                 gam[c] - volinv * (dvdx8[c] * hourmodx + dvdy8[c] * hourmody +
@@ -87,25 +87,23 @@ inline void fb_hourglass_elem(domain& d, index_t i2, const real_t* dvdx8,
     }
 
     const auto k = static_cast<std::size_t>(i2);
-    const real_t ss1 = d.ss[k];
-    const real_t mass1 = d.elemMass[k];
-    const real_t volume13 = std::cbrt(determ);
-    const real_t coefficient =
-        -hourg * real_t(0.01) * ss1 * mass1 / volume13;
+    const V ss1 = load<V>(&d.ss[k]);
+    const V mass1 = load<V>(&d.elemMass[k]);
+    const V volume13 = cbrt_of(determ);
+    const V coefficient = -hourg * real_t(0.01) * ss1 * mass1 / volume13;
 
-    real_t xd1[8], yd1[8], zd1[8];
+    V xd1[8], yd1[8], zd1[8];
     const index_t* nl = d.nodelist(i2);
-    for (int c = 0; c < 8; ++c) {
-        const auto n = static_cast<std::size_t>(nl[c]);
-        xd1[c] = d.xd[n];
-        yd1[c] = d.yd[n];
-        zd1[c] = d.zd[n];
-    }
-    const auto base = k * 8;
+    geom::gather_corners(d.xd, nl, xd1);
+    geom::gather_corners(d.yd, nl, yd1);
+    geom::gather_corners(d.zd, nl, zd1);
+    V hgfx[8], hgfy[8], hgfz[8];
     geom::calc_elem_fb_hourglass_force(xd1, yd1, zd1, hourgam, coefficient,
-                                       &d.fx_elem_hg[base],
-                                       &d.fy_elem_hg[base],
-                                       &d.fz_elem_hg[base]);
+                                       hgfx, hgfy, hgfz);
+    const auto base = k * 8;
+    store_corners(&d.fx_elem_hg[base], hgfx);
+    store_corners(&d.fy_elem_hg[base], hgfy);
+    store_corners(&d.fz_elem_hg[base], hgfz);
 }
 
 }  // namespace
@@ -168,12 +166,13 @@ bool force_stress_chunk(domain& d, index_t lo, index_t hi) {
     hazard_covers(field::y);
     hazard_covers(field::z);
     bool ok = true;
-    for (index_t k = lo; k < hi; ++k) {
+    lanes::for_each<lanes::packed<1>>(lo, hi, [&](auto lane, index_t k) {
+        using V = decltype(lane);
         const auto i = static_cast<std::size_t>(k);
-        const real_t sig = -d.p[i] - d.q[i];
-        const real_t determ = stress_corner_forces_elem(d, k, sig, sig, sig);
-        if (determ <= real_t(0.0)) ok = false;
-    }
+        const V sig = -load<V>(&d.p[i]) - load<V>(&d.q[i]);
+        const V determ = stress_corner_forces_elem(d, k, sig, sig, sig);
+        if (any(le(determ, real_t(0.0)))) ok = false;
+    });
     return ok;
 }
 
@@ -194,16 +193,18 @@ bool force_hourglass_chunk(domain& d, index_t lo, index_t hi) {
     hazard_covers(field::yd);
     hazard_covers(field::zd);
     bool ok = true;
-    for (index_t i = lo; i < hi; ++i) {
-        real_t dvdx8[8], dvdy8[8], dvdz8[8], x8[8], y8[8], z8[8];
-        const real_t determ =
+    lanes::for_each<lanes::packed<1>>(lo, hi, [&](auto lane, index_t i) {
+        using V = decltype(lane);
+        V dvdx8[8], dvdy8[8], dvdz8[8], x8[8], y8[8], z8[8];
+        const V determ =
             hourglass_control_elem(d, i, dvdx8, dvdy8, dvdz8, x8, y8, z8);
-        if (d.v[static_cast<std::size_t>(i)] <= real_t(0.0)) ok = false;
+        const V v = load<V>(&d.v[static_cast<std::size_t>(i)]);
+        if (any(le(v, real_t(0.0)))) ok = false;
         if (d.hgcoef > real_t(0.0)) {
             fb_hourglass_elem(d, i, dvdx8, dvdy8, dvdz8, x8, y8, z8, determ,
                               d.hgcoef);
         }
-    }
+    });
     return ok;
 }
 

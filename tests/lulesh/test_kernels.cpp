@@ -507,6 +507,155 @@ TEST(VolumeUpdate, SnapsNearUnityToOne) {
     EXPECT_EQ(d.v[1], 1.1);
 }
 
+// ---------------- packed element geometry ----------------
+
+/// A mesh whose elements cover the cases the packed geometry kernels must
+/// treat exactly as the one-element ones, on an s = 4 cube (node planes
+/// z = 0..4h):
+///  * layer 0 (planes 0-1): perfect cubes, all six faces tied for the
+///    largest area, except at the four mesh corners: a corner node belongs
+///    to one element, and is pushed through it (inverted) or along x so
+///    that the Jacobian has a zero column (determinant exactly zero), so
+///    one lane of a pair fails and the other does not;
+///  * layers 1 and 2: plane 2 is jittered;
+///  * layer 3: plane 4 is flattened onto plane 3 (determinant +-0);
+///  * v <= 0 on some elements, velocities zero, -0.0 or ordinary.
+domain adversarial_geometry(std::uint32_t seed) {
+    domain d(small_opts(4, 1));
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<real_t> unit(-1.0, 1.0);
+    const real_t h = d.x[1] - d.x[0];
+    for (std::size_t n = 0; n < d.x.size(); ++n) {
+        if (d.z[n] == 2.0 * h) {
+            d.x[n] += 0.2 * h * unit(rng);
+            d.y[n] += 0.2 * h * unit(rng);
+            d.z[n] += 0.2 * h * unit(rng);
+        } else if (d.z[n] == 4.0 * h) {
+            d.z[n] = 3.0 * h;
+        }
+    }
+    constexpr int opposite[8] = {6, 7, 4, 5, 2, 3, 0, 1};
+    std::vector<int> elems_of(d.x.size(), 0);
+    for (index_t e = 0; e < d.numElem(); ++e) {
+        for (int c = 0; c < 8; ++c) {
+            ++elems_of[static_cast<std::size_t>(d.nodelist(e)[c])];
+        }
+    }
+    int corner = 0;
+    for (index_t e = 0; e < d.numElem(); ++e) {
+        for (int c = 0; c < 8; ++c) {
+            const auto n = static_cast<std::size_t>(d.nodelist(e)[c]);
+            if (elems_of[n] != 1 || d.z[n] != 0.0) continue;
+            const auto o = static_cast<std::size_t>(d.nodelist(e)[opposite[c]]);
+            const real_t dx = d.x[o] - d.x[n];
+            if (corner++ % 2 == 0) {
+                d.x[n] += 3.0 * dx;
+                d.y[n] += 3.0 * (d.y[o] - d.y[n]);
+                d.z[n] += 3.0 * (d.z[o] - d.z[n]);
+            } else {
+                d.x[n] += 4.0 * dx;
+            }
+        }
+    }
+    const std::vector<real_t> vel = {0.0, -0.0, 0.0, 1.5, -2.25e-3, 7.0e2};
+    for (std::size_t n = 0; n < d.x.size(); ++n) {
+        d.xd[n] = vel[rng() % vel.size()] * (1.0 + 0.1 * unit(rng));
+        d.yd[n] = vel[rng() % vel.size()] * (1.0 + 0.1 * unit(rng));
+        d.zd[n] = vel[rng() % vel.size()];
+    }
+    const std::vector<real_t> v = {1.0, 0.93, 1.2, 0.0, -0.0, -0.4, 1.0};
+    for (std::size_t e = 0; e < d.v.size(); ++e) {
+        d.v[e] = v[rng() % v.size()];
+        d.p[e] = 10.0 * unit(rng);
+        d.q[e] = e % 3 == 0 ? 0.0 : unit(rng);
+        d.ss[e] = e % 5 == 0 ? 0.0 : 1.0 + unit(rng);
+    }
+    return d;
+}
+
+TEST(PackedGeometry, ChunksAreBitwiseEqualToOneElementAtATime) {
+    // Every chunk length 0..7 at every offset lo > 0, so the packed pairs
+    // start on even and odd elements and leave an odd or even tail; each
+    // chunk kernel over [lo, lo+len) against the same kernel called on one
+    // element at a time (which runs the real_t instance).
+    int cases = 0, stress_failed = 0, hourglass_failed = 0;
+    for (const real_t hgcoef : {3.0, 0.0}) {
+        domain base = adversarial_geometry(hgcoef == 0.0 ? 7u : 3u);
+        base.hgcoef = hgcoef;
+        const real_t dt = 1.0e-3;
+        for (index_t lo = 1; lo < base.numElem(); ++lo) {
+            for (index_t len = 0; len <= 7 && lo + len <= base.numElem();
+                 ++len) {
+                domain packed = base;
+                domain single = base;
+                const index_t hi = lo + len;
+                const bool stress_ok = k::force_stress_chunk(packed, lo, hi);
+                const bool hg_ok = k::force_hourglass_chunk(packed, lo, hi);
+                k::calc_kinematics(packed, lo, hi, dt);
+                bool stress_each = true, hg_each = true;
+                for (index_t e = lo; e < hi; ++e) {
+                    stress_each = k::force_stress_chunk(single, e, e + 1) &&
+                                  stress_each;
+                    hg_each = k::force_hourglass_chunk(single, e, e + 1) &&
+                              hg_each;
+                    k::calc_kinematics(single, e, e + 1, dt);
+                }
+                std::size_t at = 0;
+                const auto where = [&] {
+                    return ::testing::Message() << "hgcoef " << hgcoef << " lo "
+                                                << lo << " len " << len
+                                                << " index " << at;
+                };
+                ASSERT_EQ(stress_ok, stress_each) << where();
+                ASSERT_EQ(hg_ok, hg_each) << where();
+                for (const auto field :
+                     {&domain::fx_elem, &domain::fy_elem, &domain::fz_elem,
+                      &domain::fx_elem_hg, &domain::fy_elem_hg,
+                      &domain::fz_elem_hg, &domain::vnew, &domain::delv,
+                      &domain::arealg, &domain::dxx, &domain::dyy,
+                      &domain::dzz}) {
+                    ASSERT_TRUE(same_bits(packed.*field, single.*field, at))
+                        << where();
+                }
+                stress_failed += !stress_ok;
+                hourglass_failed += !hg_ok;
+                ++cases;
+            }
+        }
+    }
+    EXPECT_EQ(cases, 2 * (57 * 8 + 7 + 6 + 5 + 4 + 3 + 2));
+    // Both outcomes of both flags occur.
+    EXPECT_GT(stress_failed, 0);
+    EXPECT_LT(stress_failed, cases);
+    EXPECT_GT(hourglass_failed, 0);
+    EXPECT_LT(hourglass_failed, cases);
+}
+
+TEST(PackedGeometry, AdversarialMeshReachesEveryCase) {
+    // Guards the test above against a mesh that never leaves the common
+    // path: some elements alone fail the stress determinant check (so one
+    // lane of a pair fails and the other does not), the flattened layer
+    // fails it, some elements have v <= 0, and some velocities are -0.0.
+    const domain d = adversarial_geometry(3);
+    int lone_bad = 0, bad = 0, v_nonpos = 0, neg_zero_vel = 0;
+    std::vector<bool> stress_bad(static_cast<std::size_t>(d.numElem()));
+    for (index_t e = 0; e < d.numElem(); ++e) {
+        domain c = d;
+        stress_bad[static_cast<std::size_t>(e)] =
+            !k::force_stress_chunk(c, e, e + 1);
+        bad += stress_bad[static_cast<std::size_t>(e)];
+        v_nonpos += d.v[static_cast<std::size_t>(e)] <= 0.0;
+    }
+    for (std::size_t e = 0; e + 1 < stress_bad.size(); e += 2) {
+        lone_bad += stress_bad[e] != stress_bad[e + 1];
+    }
+    for (const real_t xd : d.xd) neg_zero_vel += xd == 0.0 && std::signbit(xd);
+    EXPECT_GE(lone_bad, 4);
+    EXPECT_GE(bad, 16 + 4);
+    EXPECT_GT(v_nonpos, 0);
+    EXPECT_GT(neg_zero_vel, 0);
+}
+
 // ---------------- time constraints ----------------
 
 TEST(Constraints, QuiescentElementsImposeNoConstraint) {
